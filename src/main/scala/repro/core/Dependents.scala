@@ -23,7 +23,6 @@ object ScanDependents {
     val bcOrder = sc.broadcast(order)
     val bcRank  = sc.broadcast(rank)
 
-    import spark.implicits._
     // Cost of point i is its rank (prefix length scanned) — LPT-balance it.
     val costs = Array.tabulate(n)(i => math.max(1.0, rank(i).toDouble))
     val out = Par.mapBalanced[(Int, Int, Double)](spark, costs, spark.sparkContext.defaultParallelism) { idxs =>
@@ -111,7 +110,6 @@ object ExactDependents {
     val bcSorted = sc.broadcast(sorted)
     val bcTrees  = sc.broadcast(trees)
 
-    import spark.implicits._
     val perSub  = m.toDouble / s
     val nnCost  = math.pow(perSub, 1.0 - 1.0 / pts.d)
     val costs = queries.map { q =>

@@ -16,6 +16,13 @@ final class Pts(val n: Int, val d: Int, val data: Array[Double], val ids: Array[
     extends Serializable {
   require(data.length == n * d, s"data length ${data.length} != n*d = ${n * d}")
   require(ids.length == n, s"ids length ${ids.length} != n = $n")
+  locally {
+    val bad = data.indexWhere(x => !java.lang.Double.isFinite(x))
+    require(bad < 0, {
+      val i = bad / d
+      s"point $i (id ${ids(i)}) has coordinate x${bad % d} = ${data(bad)}; NaN and ±inf are not valid coordinates"
+    })
+  }
 
   /** j-th coordinate of point i. */
   @inline def coord(i: Int, j: Int): Double = data(i * d + j)

@@ -8,8 +8,9 @@ import scala.collection.mutable
   *
   * Each cell is a d-dimensional cube of the given side; cells are materialized
   * lazily (no empty cells), keyed by their integer coordinates, and assigned a
-  * dense index `0 until nCells`. Per-cell metadata (`p*(c)`, min rho, `N(c)`)
-  * is computed by the algorithms during the density phase, not here.
+  * dense index `0 until nCells`. Keys are `Long`; a point more than 2^53 cells
+  * from the origin on some axis is rejected. Per-cell metadata (`p*(c)`, min
+  * rho, `N(c)`) is computed by the algorithms during the density phase, not here.
   */
 final class Grid(val pts: Pts, val side: Double) extends Serializable {
   require(side > 0, "cell side must be positive")
@@ -22,33 +23,44 @@ final class Grid(val pts: Pts, val side: Double) extends Serializable {
   /** Member point ids of each cell (parallel to [[key]]). */
   val cells: Array[Array[Int]] = built._2
 
-  private val keys0: Array[Array[Int]] = built._3
+  private val keys0: Array[Array[Long]] = built._3
 
   /** Number of non-empty cells. */
   def nCells: Int = cells.length
 
   /** Integer coordinates of cell c. */
-  def key(c: Int): Array[Int] = keys0(c)
+  def key(c: Int): Array[Long] = keys0(c)
 
   /** Geometric center of cell c. */
   def center(c: Int): Array[Double] = keys0(c).map(k => (k + 0.5) * side)
 
   /** Modelled footprint: per-point cell index + per-cell key and member arrays. */
-  def memBytes: Long = 4L * pts.n + nCells.toLong * (4L * pts.d + 48L) + 4L * pts.n
+  def memBytes: Long = 4L * pts.n + nCells.toLong * (8L * pts.d + 48L) + 4L * pts.n
 }
 
 object Grid {
+
+  /** Integer cell coordinate of `x`. Beyond 2^53 a `Double` quotient no longer
+    * resolves single cells, so such a key would not identify a cube of `side`.
+    */
+  private def cellKey(x: Double, side: Double): Long = {
+    val k = math.floor(x / side)
+    require(math.abs(k) <= (1L << 53),
+      s"grid key overflow: coordinate $x / cell side $side = $k is beyond ±2^53 cells")
+    k.toLong
+  }
+
   private def build(
       pts: Pts,
       side: Double
-  ): (Array[Int], Array[Array[Int]], Array[Array[Int]]) = {
+  ): (Array[Int], Array[Array[Int]], Array[Array[Long]]) = {
     val cellOf  = new Array[Int](pts.n)
-    val index   = mutable.HashMap.empty[ArraySeq[Int], Int]
+    val index   = mutable.HashMap.empty[ArraySeq[Long], Int]
     val members = mutable.ArrayBuffer.empty[mutable.ArrayBuilder.ofInt]
-    val keysBuf = mutable.ArrayBuffer.empty[Array[Int]]
+    val keysBuf = mutable.ArrayBuffer.empty[Array[Long]]
     var i = 0
     while (i < pts.n) {
-      val key     = Array.tabulate(pts.d)(j => math.floor(pts.coord(i, j) / side).toInt)
+      val key     = Array.tabulate(pts.d)(j => cellKey(pts.coord(i, j), side))
       val wrapped = ArraySeq.unsafeWrapArray(key)
       val c = index.getOrElseUpdate(wrapped, {
         members += new mutable.ArrayBuilder.ofInt

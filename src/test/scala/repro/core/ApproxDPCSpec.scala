@@ -91,6 +91,16 @@ class ApproxDPCSpec extends SparkSpec {
     }
   }
 
+  test("huge coordinates: points far apart get no delta = dcut link") {
+    val pts = Pts.fromArrays(1, Seq(Array(3e12), Array(5e12), Array(1e13)))
+    val res = ApproxDPC.run(spark, pts, DPCParams(dcut = 1.0))
+    val (depB, deltaB) = TestUtil.bruteDependents(pts, TestUtil.bruteRho(pts, 1.0))
+    (0 until 3).foreach { i =>
+      assert(res.delta(i) !== 1.0, s"point $i")
+      assert(res.depId(i) === depB(i) && res.delta(i) === deltaB(i), s"point $i")
+    }
+  }
+
   test("memBytes includes grid and trees") {
     val pts = TestUtil.clusteredPts(500, 2, 3, 20.0, 1000.0, seed = 640)
     val res = ApproxDPC.run(spark, pts, DPCParams(dcut = 40.0))

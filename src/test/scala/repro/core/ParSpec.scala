@@ -1,6 +1,6 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.apache.spark.TaskContext
 import repro.SparkSpec
 import scala.util.Random
 
@@ -37,7 +37,6 @@ class ParSpec extends SparkSpec {
   }
 
   test("mapBalanced computes every item once") {
-    import spark.implicits._
     val costs = Array.tabulate(500)(i => (i % 7 + 1).toDouble)
     val out = Par.mapBalanced[(Int, Int)](spark, costs, 8)(idxs => idxs.iterator.map(i => (i, i * i)))
     assert(out.length === 500)
@@ -45,13 +44,11 @@ class ParSpec extends SparkSpec {
   }
 
   test("mapIndexed covers 0 until n") {
-    import spark.implicits._
     val out = Par.mapIndexed[Int](spark, 1000)(idxs => idxs.iterator.map(_ + 1))
     assert(out.sorted.toSeq === (1 to 1000))
   }
 
   test("mapStatic covers 0 until n in contiguous ranges") {
-    import spark.implicits._
     val out = Par.mapStatic[(Int, Int, Int, Int)](spark, 100, 7) { idxs =>
       idxs.iterator.map(i => (i, idxs.min, idxs.max, idxs.length))
     }
@@ -64,8 +61,29 @@ class ParSpec extends SparkSpec {
     }
   }
 
+  test("mapBalanced runs each LPT group as exactly one Spark task") {
+    val rnd    = new Random(72)
+    val costs  = Array.fill(300)(rnd.nextDouble() * 10 + 0.1)
+    val groups = Par.lpt(costs, 8).map(_.sorted.toSeq)
+    // f runs once per group; record which task (partition) ran it
+    val out = Par.mapBalanced[(Int, Seq[Int])](spark, costs, 8) { idxs =>
+      Iterator((TaskContext.getPartitionId(), idxs.sorted.toSeq))
+    }
+    assert(out.length === groups.length)
+    assert(out.map(_._1).distinct.length === groups.length, s"tasks ${out.map(_._1).mkString(",")}")
+    assert(out.map(_._2).toSet === groups.toSet)
+  }
+
+  test("mapStatic runs each contiguous range as exactly one Spark task") {
+    val out = Par.mapStatic[(Int, Seq[Int])](spark, 100, 7) { idxs =>
+      Iterator((TaskContext.getPartitionId(), idxs.toSeq))
+    }
+    assert(out.length === 7)
+    assert(out.map(_._1).distinct.length === 7, s"tasks ${out.map(_._1).mkString(",")}")
+    assert(out.map(_._2).toSet === (0 until 100).grouped(15).map(_.toSeq).toSet)
+  }
+
   test("empty inputs yield empty outputs") {
-    import spark.implicits._
     assert(Par.mapBalanced[Int](spark, Array.empty[Double], 4)(_.iterator.map(identity)).isEmpty)
     assert(Par.mapIndexed[Int](spark, 0)(_.iterator.map(identity)).isEmpty)
     assert(Par.mapStatic[Int](spark, 0, 4)(_.iterator.map(identity)).isEmpty)

@@ -50,6 +50,24 @@ class PtsSpec extends SparkSpec {
     intercept[IllegalArgumentException](new Pts(2, 2, new Array[Double](4), new Array[Long](3)))
   }
 
+  test("fromArrays rejects NaN and infinite coordinates") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](
+        Pts.fromArrays(2, Seq(Array(1.0, 2.0), Array(3.0, bad)))
+      )
+      assert(e.getMessage.contains("point 1") && e.getMessage.contains("x1"), e.getMessage)
+    }
+  }
+
+  test("fromDF rejects NaN and infinite coordinates") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val df = Pts.toDF(spark, TestUtil.uniformPts(5, 2, 10.0, seed = 62))
+        .selectExpr("id", s"CASE WHEN id = 3 THEN CAST('$bad' AS DOUBLE) ELSE x0 END AS x0", "x1")
+      val e = intercept[IllegalArgumentException](Pts.fromDF(df))
+      assert(e.getMessage.contains("id 3") && e.getMessage.contains("x0"), e.getMessage)
+    }
+  }
+
   test("jitter is deterministic, in (0,1), and injective over a large range") {
     val vals = (0 until 100000).map(Jitter.frac)
     assert(vals.forall(v => v > 0 && v < 1))

@@ -80,4 +80,17 @@ class GridSpec extends AnyFunSuite {
     assert(grid.key(grid.cellOf(1))(0) === 0)
     assert(grid.key(grid.cellOf(2))(0) === -4)
   }
+
+  test("huge coordinates get distinct cells") {
+    val pts  = Pts.fromArrays(1, Seq(Array(3e12), Array(5e12), Array(1e13)))
+    val grid = new Grid(pts, side = 1.0)
+    assert(grid.nCells === 3)
+    assert((0 until 3).map(i => grid.key(grid.cellOf(i))(0)) === Seq(3000000000000L, 5000000000000L, 10000000000000L))
+  }
+
+  test("coordinates beyond the key range are rejected") {
+    val pts = Pts.fromArrays(2, Seq(Array(0.0, 0.0), Array(0.0, -1e300)))
+    val e   = intercept[IllegalArgumentException](new Grid(pts, side = 1.0))
+    assert(e.getMessage.contains("grid key overflow"), e.getMessage)
+  }
 }
