@@ -28,9 +28,7 @@ object CFSFDPA extends DPCAlgorithm {
     val n     = pts.n
     val dcut  = params.dcut
     val dcut2 = dcut * dcut
-    val k =
-      if (params.cfsfdpPivots > 0) math.min(params.cfsfdpPivots, n)
-      else math.max(2, math.min(n, math.ceil(math.sqrt(n.toDouble)).toInt))
+    val k     = math.max(2, math.min(n, math.ceil(math.sqrt(n.toDouble)).toInt))
 
     val t0 = System.nanoTime()
     val km = KMeans.fit(pts, k, iters = 5)
@@ -57,45 +55,30 @@ object CFSFDPA extends DPCAlgorithm {
       m += 1
     }
 
-    val sc    = spark.sparkContext
-    val bcPts = sc.broadcast(pts)
-    val bcPD  = sc.broadcast(pivDist)
-    val bcSM  = sc.broadcast(sortedMembers)
-    val bcSD  = sc.broadcast(sortedDists)
-
-    val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
-      val p  = bcPts.value
-      val pd = bcPD.value
-      val sm = bcSM.value
-      val sd = bcSD.value
-      idxs.iterator.map { qi =>
-        var cnt = 0
-        var mm = 0
-        while (mm < sm.length) {
-          val dPiv = pd(qi * sm.length + mm)
-          val ds   = sd(mm)
-          val ms   = sm(mm)
-          // members with pivot distance in (dPiv - dcut, dPiv + dcut)
-          var lo = java.util.Arrays.binarySearch(ds, dPiv - dcut)
-          if (lo < 0) lo = -lo - 1
-          var z = lo
-          while (z < ds.length && ds(z) < dPiv + dcut) {
-            val j = ms(z)
-            if (j != qi && p.dist2(qi, j) < dcut2) cnt += 1
-            z += 1
-          }
-          mm += 1
+    val rho = ExactDensity.compute(spark, n) { qi =>
+      var cnt = 0
+      var mm = 0
+      while (mm < k) {
+        val dPiv = pivDist(qi * k + mm)
+        val ds   = sortedDists(mm)
+        val ms   = sortedMembers(mm)
+        // members with pivot distance in (dPiv - dcut, dPiv + dcut)
+        var lo = java.util.Arrays.binarySearch(ds, dPiv - dcut)
+        if (lo < 0) lo = -lo - 1
+        var z = lo
+        while (z < ds.length && ds(z) < dPiv + dcut) {
+          val j = ms(z)
+          if (j != qi && pts.dist2(qi, j) < dcut2) cnt += 1
+          z += 1
         }
-        (qi, cnt + Jitter.frac(qi))
+        mm += 1
       }
+      cnt
     }
-    val rho = new Array[Double](n)
-    rhoOut.foreach { case (idx, r) => rho(idx) = r }
     val t1 = System.nanoTime()
 
     val (depId, delta) = ScanDependents.compute(spark, pts, rho)
     val t2 = System.nanoTime()
-    bcPts.destroy(); bcPD.destroy(); bcSM.destroy(); bcSD.destroy()
 
     val mem = 8L * n * k +                       // pivot-distance matrix
       (8L + 4L) * n +                            // sorted lists (dist + id per point)

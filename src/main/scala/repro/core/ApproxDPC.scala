@@ -39,32 +39,24 @@ object ApproxDPC extends DPCAlgorithm {
     val tree = new KdTree(pts).buildAll()
     val grid = new Grid(pts, dcut / math.sqrt(pts.d.toDouble))
 
-    val sc     = spark.sparkContext
-    val bcPts  = sc.broadcast(pts)
-    val bcTree = sc.broadcast(tree)
-    val bcGrid = sc.broadcast(grid)
-
     val costs = grid.cells.map(_.length.toDouble)
-    val cellOut = Par.mapBalanced[CellDensity](spark, costs, sc.defaultParallelism) { cellIdxs =>
-      val p = bcPts.value
-      val t = bcTree.value
-      val g = bcGrid.value
+    val cellOut = Par.mapBalanced[CellDensity](spark, costs, spark.sparkContext.defaultParallelism) { cellIdxs =>
       cellIdxs.iterator.map { c =>
-        val members = g.cells(c)
+        val members = grid.cells(c)
         // Singleton cell: B(p,dcut) needs no enclosing ball — query the point
         // itself (same result set, much smaller radius in high dimensions).
         val (q, radius) =
-          if (members.length == 1) (p.point(members(0)), dcut)
+          if (members.length == 1) (pts.point(members(0)), dcut)
           else {
-            val cp   = g.center(c)
+            val cp   = grid.center(c)
             var rmax = 0.0
             members.foreach { i =>
-              val dd = math.sqrt(p.dist2To(i, cp))
+              val dd = math.sqrt(pts.dist2To(i, cp))
               if (dd > rmax) rmax = dd
             }
             (cp, dcut + rmax + 1e-9)
           }
-        val r = t.rangeSearch(q, radius)
+        val r = tree.rangeSearch(q, radius)
         // exact density of every member by scanning the joint result
         val rhos  = new Array[Double](members.length)
         var starK = 0
@@ -77,7 +69,7 @@ object ApproxDPC extends DPCAlgorithm {
           var u = 0
           while (u < r.length) {
             val q = r(u)
-            if (q != i && p.dist2(i, q) < dcut2) cnt += 1
+            if (q != i && pts.dist2(i, q) < dcut2) cnt += 1
             u += 1
           }
           val rho = cnt + Jitter.frac(i)
@@ -91,7 +83,7 @@ object ApproxDPC extends DPCAlgorithm {
         var u = 0
         while (u < r.length) {
           val q = r(u)
-          if (g.cellOf(q) != c && p.dist2(pstar, q) < dcut2) nbrs.add(g.cellOf(q))
+          if (grid.cellOf(q) != c && pts.dist2(pstar, q) < dcut2) nbrs.add(grid.cellOf(q))
           u += 1
         }
         val nb = new Array[Int](nbrs.size())
@@ -114,7 +106,6 @@ object ApproxDPC extends DPCAlgorithm {
       minRhoC(co.cell) = co.minRho
       nbrsC(co.cell) = co.nbrs
     }
-    bcTree.destroy()
     val t1 = System.nanoTime()
 
     // --- Approximate dependent points (O(1) per point, driver loop is O(n)). ---
@@ -152,7 +143,6 @@ object ApproxDPC extends DPCAlgorithm {
     val exact = ExactDependents.compute(spark, pts, rho, Array.tabulate(n)(identity), pPrime)
     exact.foreach { case (q, dep, dd) => depId(q) = dep; delta(q) = dd }
     val t2 = System.nanoTime()
-    bcPts.destroy(); bcGrid.destroy()
 
     val mem = tree.memBytes + grid.memBytes +
       nbrsC.iterator.map(a => if (a == null) 0L else 4L * a.length).sum +

@@ -18,25 +18,17 @@ object ScanDependents {
     var r = 0
     while (r < n) { rank(order(r)) = r; r += 1 }
 
-    val sc      = spark.sparkContext
-    val bcPts   = sc.broadcast(pts)
-    val bcOrder = sc.broadcast(order)
-    val bcRank  = sc.broadcast(rank)
-
     // Cost of point i is its rank (prefix length scanned) — LPT-balance it.
     val costs = Array.tabulate(n)(i => math.max(1.0, rank(i).toDouble))
     val out = Par.mapBalanced[(Int, Int, Double)](spark, costs, spark.sparkContext.defaultParallelism) { idxs =>
-      val p  = bcPts.value
-      val od = bcOrder.value
-      val rk = bcRank.value
       idxs.iterator.map { i =>
-        val myRank = rk(i)
+        val myRank = rank(i)
         var bestId = -1
         var bestD2 = Double.PositiveInfinity
         var s = 0
         while (s < myRank) {
-          val j  = od(s)
-          val d2 = p.dist2(i, j)
+          val j  = order(s)
+          val d2 = pts.dist2(i, j)
           if (d2 < bestD2) { bestD2 = d2; bestId = j }
           s += 1
         }
@@ -46,7 +38,6 @@ object ScanDependents {
     val depId = new Array[Int](n)
     val delta = new Array[Double](n)
     out.foreach { case (i, q, dd) => depId(i) = q; delta(i) = dd }
-    bcPts.destroy(); bcOrder.destroy(); bcRank.destroy()
     (depId, delta)
   }
 }
@@ -105,11 +96,6 @@ object ExactDependents {
       j += 1
     }
 
-    val sc       = spark.sparkContext
-    val bcPts    = sc.broadcast(pts)
-    val bcSorted = sc.broadcast(sorted)
-    val bcTrees  = sc.broadcast(trees)
-
     val perSub  = m.toDouble / s
     val nnCost  = math.pow(perSub, 1.0 - 1.0 / pts.d)
     val costs = queries.map { q =>
@@ -119,23 +105,19 @@ object ExactDependents {
       // cost_dep of §4.5: a partial scan of the own subset plus an NN per higher subset.
       (bound(own + 1) - rank).toDouble + above * nnCost + 1.0
     }
-    val qArr = queries
-    val out = Par.mapBalanced[(Int, Int, Double)](spark, costs, spark.sparkContext.defaultParallelism) { idxs =>
-      val p   = bcPts.value
-      val ord = bcSorted.value
-      val tr  = bcTrees.value
+    Par.mapBalanced[(Int, Int, Double)](spark, costs, spark.sparkContext.defaultParallelism) { idxs =>
       idxs.iterator.map { qi =>
-        val q     = qArr(qi)
+        val q     = queries(qi)
         val rank  = rankOf.get(q).intValue()
         val own   = subsetOf(rank)
-        val qc    = p.point(q)
+        val qc    = pts.point(q)
         var bestId = -1
         var bestD2 = Double.PositiveInfinity
         // case (ii): own subset, higher ranks only
         var t = rank + 1
         while (t < bound(own + 1)) {
-          val cand = ord(t)
-          val d2   = p.dist2(q, cand)
+          val cand = sorted(t)
+          val d2   = pts.dist2(q, cand)
           if (d2 < bestD2) { bestD2 = d2; bestId = cand }
           t += 1
         }
@@ -143,15 +125,13 @@ object ExactDependents {
         var jj = own + 1
         while (jj < s) {
           val b = if (bestD2.isInfinity) Double.PositiveInfinity else math.sqrt(bestD2)
-          val (id, dist) = tr(jj).nearest(qc, b)
+          val (id, dist) = trees(jj).nearest(qc, b)
           if (id >= 0 && dist * dist < bestD2) { bestD2 = dist * dist; bestId = id }
           jj += 1
         }
         (q, bestId, if (bestId < 0) Double.PositiveInfinity else math.sqrt(bestD2))
       }
     }
-    bcPts.destroy(); bcSorted.destroy(); bcTrees.destroy()
-    out
   }
 
   /** Modelled footprint of the subset kd-trees over `m` points. */

@@ -24,21 +24,9 @@ object ExDPC extends DPCAlgorithm {
 
     val t0   = System.nanoTime()
     val tree = new KdTree(pts).buildAll()
-    val bcPts  = spark.sparkContext.broadcast(pts)
-    val bcTree = spark.sparkContext.broadcast(tree)
-    val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
-      val p = bcPts.value
-      val t = bcTree.value
-      idxs.iterator.map { i =>
-        val cnt = t.rangeCount(p.point(i), params.dcut) - 1 // exclude the point itself
-        (i, cnt + Jitter.frac(i))
-      }
-    }
-    val rho = new Array[Double](n)
-    rhoOut.foreach { case (i, r) => rho(i) = r }
-    val memDensity = tree.memBytes
-    bcPts.destroy(); bcTree.destroy()
-    val t1 = System.nanoTime()
+    // rangeCount includes the query point itself (distance 0): subtract it.
+    val rho = ExactDensity.compute(spark, n)(i => tree.rangeCount(pts.point(i), params.dcut) - 1)
+    val t1  = System.nanoTime()
 
     // Sequential incremental phase (driver = the single thread of §3).
     val order = Array.tabulate(n)(identity).sortBy(i => -rho(i))
@@ -61,6 +49,6 @@ object ExDPC extends DPCAlgorithm {
 
     new DPCResult(rho, depId, delta,
       PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L),
-      math.max(memDensity, inc.memBytes))
+      math.max(tree.memBytes, inc.memBytes))
   }
 }

@@ -11,7 +11,11 @@ import scala.reflect.ClassTag
   * exactly one Spark task: an RDD with one partition per group
   * (`parallelize(groups, groups.length)`), mapped with `mapPartitions` and
   * collected. There is no shuffle, so the groups a mode builds are the tasks
-  * Spark runs. Three scheduling modes mirror the paper:
+  * Spark runs. The kernel `f` is broadcast once per call, so everything it
+  * captures (points, trees, grids, arrays) is shipped once and, in `local[*]`,
+  * shared by reference by every task — the paper's shared memory. Kernels
+  * therefore capture their data directly. Three scheduling modes mirror the
+  * paper:
   *
   *  - [[mapBalanced]] — the cost-based partitioning of §4.5: work units are
   *    packed into `buckets` groups with Graham's LPT greedy (3/2-approx of
@@ -53,14 +57,14 @@ object Par {
     runGroups(spark, groups)(f)
   }
 
-  /** Dynamic-scheduling analogue: `n` unit-cost items, `oversub` partitions per
+  /** Dynamic-scheduling analogue: `n` unit-cost items, four partitions per
     * core so stragglers are absorbed by the scheduler.
     */
-  def mapIndexed[T: ClassTag](spark: SparkSession, n: Int, oversub: Int = 4)(
+  def mapIndexed[T: ClassTag](spark: SparkSession, n: Int)(
       f: Array[Int] => Iterator[T]
   ): Array[T] = {
     if (n == 0) return Array.empty[T]
-    val parts  = math.min(n, spark.sparkContext.defaultParallelism * oversub)
+    val parts  = math.min(n, spark.sparkContext.defaultParallelism * 4)
     val groups = roundRobin(n, parts)
     runGroups(spark, groups)(f)
   }
@@ -83,12 +87,19 @@ object Par {
     groups.map(_.result()).filter(_.nonEmpty)
   }
 
-  /** One Spark task per group; results come back in group order. */
+  /** One Spark task per group; results come back in group order. `f` is
+    * broadcast rather than serialized into every task, and destroyed when the
+    * call returns or throws.
+    */
   private def runGroups[T: ClassTag](spark: SparkSession, groups: Array[Array[Int]])(
       f: Array[Int] => Iterator[T]
-  ): Array[T] =
-    spark.sparkContext
-      .parallelize(ArraySeq.unsafeWrapArray(groups), groups.length)
-      .mapPartitions(_.flatMap(f))
-      .collect()
+  ): Array[T] = {
+    val sc  = spark.sparkContext
+    val bcF = sc.broadcast(f)
+    try
+      sc.parallelize(ArraySeq.unsafeWrapArray(groups), groups.length)
+        .mapPartitions(_.flatMap(g => bcF.value(g)))
+        .collect()
+    finally bcF.destroy()
+  }
 }

@@ -11,31 +11,16 @@ object RTreeScanDPC extends DPCAlgorithm {
   override val name = "R-tree + Scan"
 
   override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
-    val n = pts.n
-
     val t0   = System.nanoTime()
     val tree = new RTree(pts).buildAll()
-    val bcPts  = spark.sparkContext.broadcast(pts)
-    val bcTree = spark.sparkContext.broadcast(tree)
-    val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
-      val p = bcPts.value
-      val t = bcTree.value
-      idxs.iterator.map { i =>
-        // rangeCount includes the query point itself (distance 0): subtract it.
-        val cnt = t.rangeCount(p.point(i), params.dcut) - 1
-        (i, cnt + Jitter.frac(i))
-      }
-    }
-    val rho = new Array[Double](n)
-    rhoOut.foreach { case (i, r) => rho(i) = r }
-    val t1 = System.nanoTime()
+    // rangeCount includes the query point itself (distance 0): subtract it.
+    val rho = ExactDensity.compute(spark, pts.n)(i => tree.rangeCount(pts.point(i), params.dcut) - 1)
+    val t1  = System.nanoTime()
 
     val (depId, delta) = ScanDependents.compute(spark, pts, rho)
     val t2 = System.nanoTime()
-    val mem = tree.memBytes
-    bcPts.destroy(); bcTree.destroy()
 
     new DPCResult(rho, depId, delta,
-      PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), mem)
+      PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), tree.memBytes)
   }
 }

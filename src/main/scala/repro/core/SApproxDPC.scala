@@ -37,30 +37,20 @@ object SApproxDPC extends DPCAlgorithm {
     // Deterministic pick: smallest point id per cell.
     val picked = grid.cells.map(_.min)
 
-    val sc     = spark.sparkContext
-    val bcPts  = sc.broadcast(pts)
-    val bcTree = sc.broadcast(tree)
-    val bcGrid = sc.broadcast(grid)
-    val bcPick = sc.broadcast(picked)
-
     val costs = grid.cells.map(_.length.toDouble)
-    val out = Par.mapBalanced[PickedDensity](spark, costs, sc.defaultParallelism) { cellIdxs =>
-      val p  = bcPts.value
-      val t  = bcTree.value
-      val g  = bcGrid.value
-      val pk = bcPick.value
+    val out = Par.mapBalanced[PickedDensity](spark, costs, spark.sparkContext.defaultParallelism) { cellIdxs =>
       cellIdxs.iterator.map { c =>
-        val pi = pk(c)
-        val q  = p.point(pi)
-        val r  = t.rangeSearch(q, dcut) // inclusive superset; strict-filter below
+        val pi = picked(c)
+        val q  = pts.point(pi)
+        val r  = tree.rangeSearch(q, dcut) // inclusive superset; strict-filter below
         var cnt = 0
         val nbrs = new java.util.HashSet[Integer]()
         var u = 0
         while (u < r.length) {
           val id = r(u)
-          if (id != pi && p.dist2(pi, id) < dcut2) {
+          if (id != pi && pts.dist2(pi, id) < dcut2) {
             cnt += 1
-            if (g.cellOf(id) != c) nbrs.add(g.cellOf(id))
+            if (grid.cellOf(id) != c) nbrs.add(grid.cellOf(id))
           }
           u += 1
         }
@@ -78,7 +68,6 @@ object SApproxDPC extends DPCAlgorithm {
       rho(picked(pd.cell)) = pd.rho
       nbrsC(pd.cell) = pd.nbrs
     }
-    bcTree.destroy()
     val t1 = System.nanoTime()
 
     // --- Dependent points. ---
@@ -195,7 +184,6 @@ object SApproxDPC extends DPCAlgorithm {
       // No roots means a cycle-free forest already complete — nothing to do.
     }
     val t2 = System.nanoTime()
-    bcPts.destroy(); bcGrid.destroy(); bcPick.destroy()
 
     val mem = tree.memBytes + grid.memBytes +
       nbrsC.iterator.map(a => if (a == null) 0L else 4L * a.length).sum + 8L * grid.nCells

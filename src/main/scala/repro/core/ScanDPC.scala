@@ -10,30 +10,22 @@ object ScanDPC extends DPCAlgorithm {
   override val name = "Scan"
 
   override def run(spark: SparkSession, pts: Pts, params: DPCParams): DPCResult = {
-    val n     = pts.n
     val dcut2 = params.dcut * params.dcut
 
-    val t0    = System.nanoTime()
-    val bcPts = spark.sparkContext.broadcast(pts)
-    val rhoOut = Par.mapIndexed[(Int, Double)](spark, n) { idxs =>
-      val p = bcPts.value
-      idxs.iterator.map { i =>
-        var cnt = 0
-        var j = 0
-        while (j < p.n) {
-          if (j != i && p.dist2(i, j) < dcut2) cnt += 1
-          j += 1
-        }
-        (i, cnt + Jitter.frac(i))
+    val t0  = System.nanoTime()
+    val rho = ExactDensity.compute(spark, pts.n) { i =>
+      var cnt = 0
+      var j = 0
+      while (j < pts.n) {
+        if (j != i && pts.dist2(i, j) < dcut2) cnt += 1
+        j += 1
       }
+      cnt
     }
-    val rho = new Array[Double](n)
-    rhoOut.foreach { case (i, r) => rho(i) = r }
     val t1 = System.nanoTime()
 
     val (depId, delta) = ScanDependents.compute(spark, pts, rho)
     val t2 = System.nanoTime()
-    bcPts.destroy()
 
     new DPCResult(rho, depId, delta,
       PhaseTimes((t1 - t0) / 1000000L, (t2 - t1) / 1000000L), memBytes = 0L)

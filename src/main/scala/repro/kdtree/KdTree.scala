@@ -20,6 +20,8 @@ final class KdTree(val pts: Pts) extends Serializable {
   private final class Node(val id: Int, val axis: Int) extends Serializable {
     var left: Node  = _
     var right: Node = _
+    /** Whether the next inserted key equal to this node's goes left; flips on every tie. */
+    var tieLeft = false
   }
 
   private var root: Node = _
@@ -77,13 +79,21 @@ final class KdTree(val pts: Pts) extends Serializable {
     }
   }
 
-  /** Insert one point; axis cycles with depth, no rebalancing (paper §3). */
+  /** Insert one point; axis cycles with depth, no rebalancing (paper §3).
+    * Keys equal to a node's alternate between its two sides, so duplicates
+    * form a balanced subtree rather than a chain (the searches already allow
+    * equal keys on both sides, as [[buildFrom]]'s quickselect produces them).
+    */
   def insert(id: Int): Unit = {
     count0 += 1
     if (root == null) { root = new Node(id, 0); return }
     var cur = root
     while (true) {
-      val goLeft = pts.coord(id, cur.axis) < pts.coord(cur.id, cur.axis)
+      val key    = pts.coord(id, cur.axis)
+      val split  = pts.coord(cur.id, cur.axis)
+      val goLeft =
+        if (key != split) key < split
+        else { val l = cur.tieLeft; cur.tieLeft = !l; l }
       val next   = if (goLeft) cur.left else cur.right
       if (next == null) {
         val child = new Node(id, (cur.axis + 1) % pts.d)

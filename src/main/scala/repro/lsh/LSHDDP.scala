@@ -48,18 +48,14 @@ object LSHDDP extends DPCAlgorithm {
       tb += 1
     }
 
-    val sc    = spark.sparkContext
-    val bcPts = sc.broadcast(pts)
-    val bcBkt = sc.broadcast(buckets)
-    val bcBof = sc.broadcast(bucketOf)
-    val parts = params.resolvedSlices(spark)
+    val parts = spark.sparkContext.defaultParallelism
 
     /** Distinct bucket mates of i across the M tables (excluding i). */
-    def candidates(p: Pts, bkt: Array[Array[Array[Int]]], bof: Array[Array[Int]], i: Int): Array[Int] = {
+    def candidates(i: Int): Array[Int] = {
       val seen = new mutable.ArrayBuilder.ofInt
       var t = 0
-      while (t < bkt.length) {
-        val bs = bkt(t)(bof(t)(i))
+      while (t < m) {
+        val bs = buckets(t)(bucketOf(t)(i))
         var z = 0
         while (z < bs.length) { if (bs(z) != i) seen += bs(z); z += 1 }
         t += 1
@@ -77,14 +73,11 @@ object LSHDDP extends DPCAlgorithm {
     }
 
     val rhoOut = Par.mapStatic[(Int, Double)](spark, n, parts) { idxs =>
-      val p = bcPts.value
-      val bkt = bcBkt.value
-      val bof = bcBof.value
       idxs.iterator.map { i =>
-        val cand = candidates(p, bkt, bof, i)
+        val cand = candidates(i)
         var cnt = 0
         var z = 0
-        while (z < cand.length) { if (p.dist2(i, cand(z)) < dcut2) cnt += 1; z += 1 }
+        while (z < cand.length) { if (pts.dist2(i, cand(z)) < dcut2) cnt += 1; z += 1 }
         (i, cnt + Jitter.frac(i))
       }
     }
@@ -93,21 +86,16 @@ object LSHDDP extends DPCAlgorithm {
     val t1 = System.nanoTime()
 
     // Dependent: nearest denser bucket mate, else exact full scan.
-    val bcRho = sc.broadcast(rho)
     val depOut = Par.mapStatic[(Int, Int, Double)](spark, n, parts) { idxs =>
-      val p   = bcPts.value
-      val bkt = bcBkt.value
-      val bof = bcBof.value
-      val rh  = bcRho.value
       idxs.iterator.map { i =>
-        val cand = candidates(p, bkt, bof, i)
+        val cand = candidates(i)
         var bestId = -1
         var bestD2 = Double.PositiveInfinity
         var z = 0
         while (z < cand.length) {
           val j = cand(z)
-          if (rh(j) > rh(i)) {
-            val d2 = p.dist2(i, j)
+          if (rho(j) > rho(i)) {
+            val d2 = pts.dist2(i, j)
             if (d2 < bestD2) { bestD2 = d2; bestId = j }
           }
           z += 1
@@ -116,9 +104,9 @@ object LSHDDP extends DPCAlgorithm {
         else {
           // fallback: exact scan of the whole P
           var j = 0
-          while (j < p.n) {
-            if (rh(j) > rh(i)) {
-              val d2 = p.dist2(i, j)
+          while (j < n) {
+            if (rho(j) > rho(i)) {
+              val d2 = pts.dist2(i, j)
               if (d2 < bestD2) { bestD2 = d2; bestId = j }
             }
             j += 1
@@ -131,7 +119,6 @@ object LSHDDP extends DPCAlgorithm {
     val delta = new Array[Double](n)
     depOut.foreach { case (i, q, dd) => depId(i) = q; delta(i) = dd }
     val t2 = System.nanoTime()
-    bcPts.destroy(); bcBkt.destroy(); bcBof.destroy(); bcRho.destroy()
 
     val mem = lsh.paramBytes + m.toLong * n * 8L + // per-table bucket ids + member arrays
       buckets.iterator.map(bs => bs.iterator.map(b => 16L + 4L * b.length).sum).sum

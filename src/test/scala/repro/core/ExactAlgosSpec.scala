@@ -78,6 +78,24 @@ class ExactAlgosSpec extends SparkSpec {
     assert(rd.delta.count(_ == 0.0) === 4)
   }
 
+  test("Ex-DPC matches Scan on a set with many exact duplicates") {
+    val rnd  = new scala.util.Random(513)
+    val hubs = Seq.fill(6)(Array.fill(2)(rnd.nextDouble() * 1000.0))
+    val rows = Seq.tabulate(12000)(i => hubs(i % 6).clone()) ++ Seq.fill(300)(Array.fill(2)(rnd.nextDouble() * 1000.0))
+    val pts    = Pts.fromArrays(2, rnd.shuffle(rows))
+    val params = DPCParams(dcut = 60.0)
+    val scan = ScanDPC.run(spark, pts, params)
+    val ex   = ExDPC.run(spark, pts, params)
+    assert(ex.rho.toSeq === scan.rho.toSeq)
+    var i = 0
+    while (i < pts.n) {
+      if (scan.delta(i).isInfinity) assert(ex.delta(i).isInfinity, s"point $i should be the peak")
+      else assert(math.abs(ex.delta(i) - scan.delta(i)) < 1e-9, s"delta($i) ${ex.delta(i)} != ${scan.delta(i)}")
+      if (ex.depId(i) >= 0) assert(ex.rho(ex.depId(i)) > ex.rho(i), s"dep of $i not denser")
+      i += 1
+    }
+  }
+
   test("Scan and Ex-DPC report non-negative phase times and Ex-DPC memory") {
     val pts = TestUtil.uniformPts(500, 2, 100.0, seed = 511)
     val r   = ExDPC.run(spark, pts, DPCParams(dcut = 10.0))

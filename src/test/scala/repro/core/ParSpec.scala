@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.TaskContext
 import repro.SparkSpec
 import scala.util.Random
@@ -81,6 +82,22 @@ class ParSpec extends SparkSpec {
     assert(out.length === 7)
     assert(out.map(_._1).distinct.length === 7, s"tasks ${out.map(_._1).mkString(",")}")
     assert(out.map(_._2).toSet === (0 until 100).grouped(15).map(_.toSeq).toSet)
+  }
+
+  test("a kernel is shipped once: captured driver state is shared by every task (local mode)") {
+    val seen = new AtomicInteger
+    Par.mapIndexed[Int](spark, 1000) { idxs => idxs.foreach(_ => seen.incrementAndGet()); Iterator.empty }
+    assert(seen.get === 1000)
+    Par.mapBalanced[Int](spark, Array.fill(500)(1.0), 8) { idxs => idxs.foreach(_ => seen.incrementAndGet()); Iterator.empty }
+    assert(seen.get === 1500)
+  }
+
+  test("a throwing kernel propagates its exception and the next call still works") {
+    val e = intercept[Exception] {
+      Par.mapIndexed[Int](spark, 100)(_.iterator.map(i => if (i == 42) throw new IllegalStateException("kernel failed") else i))
+    }
+    assert(e.getMessage.contains("kernel failed"))
+    assert(Par.mapIndexed[Int](spark, 100)(_.iterator.map(identity)).sorted.toSeq === (0 until 100))
   }
 
   test("empty inputs yield empty outputs") {

@@ -103,6 +103,16 @@ class KdTreeSpec extends AnyFunSuite {
     assert(tree.rangeSearch(Array(3.0, 4.0), 0.0).length === 20)
   }
 
+  test("50k inserted duplicates stay searchable: nearest returns distance 0") {
+    val pts  = Pts.fromArrays(2, Seq.fill(50000)(Array(3.0, 4.0)))
+    val tree = new KdTree(pts)
+    (0 until pts.n).foreach(tree.insert)
+    val (id, d) = tree.nearest(Array(3.0, 4.0))
+    assert(id >= 0 && d === 0.0)
+    assert(tree.nearest(Array(0.0, 0.0))._2 === 5.0)
+    assert(tree.rangeCount(Array(3.0, 4.0), 1.0) === 50000)
+  }
+
   test("memBytes grows with size") {
     val pts = TestUtil.uniformPts(500, 2, 10.0, seed = 8)
     val t1  = new KdTree(pts).buildFrom((0 until 100).toArray)
